@@ -15,10 +15,11 @@
  *  - `SystemConfig::energyObs` only gates the congestion sketches and
  *    the summaries, so obs-on vs. obs-off runs are bit-identical
  *    (test_differential) and the flag stays out of the Runner memo key;
- *  - rollups are fixed-footprint: one EnergyAttribution per scope
+ *  - rollups are bounded: one EnergyAttribution per scope
  *    (link -> module -> channel -> system) regardless of fabric size,
  *    plus two QuantileSketches for the per-link utilization/occupancy
- *    distributions, so thousands of links stay affordable;
+ *    distributions (each stores counts only up to its highest recorded
+ *    bucket), so thousands of links stay affordable;
  *  - merges (multichannel, partition lanes) are exact: attribution adds
  *    field-wise in channel order, sketches merge bucket-wise.
  *

@@ -115,7 +115,7 @@ ObsHub::registerStats()
         return static_cast<std::uint64_t>(qs.front()->now());
     });
 
-    // Event-queue health: how deep the heap gets and how dispatch load
+    // Event-queue health: how deep the queue gets and how dispatch load
     // spreads over sim time. All simulation-determined (no wall clock).
     auto eqh = reg.scope("sim.eq.");
     eqh.addInt("events_descheduled", "deschedule() calls so far",

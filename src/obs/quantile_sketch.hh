@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-memory streaming quantile sketch for latency distributions.
+ * Bounded-memory streaming quantile sketch for latency distributions.
  *
  * An HDR-histogram-style log-bucketed counter array: values below
  * 2*kSubBuckets land in exact unit buckets; above that, each power-of-
@@ -10,19 +10,27 @@
  * platforms, merges are exact and associative (bucket-wise addition),
  * and epoch deltas are exact subtractions.
  *
- * Header-only with no dependencies beyond <array>/<cstdint> so the net
- * layer can embed sketches without linking the obs library; the hot
- * path (record) is a handful of integer ops and one array increment —
- * no heap allocation, ever.
+ * The count array is stored only up to the highest bucket recorded so
+ * far and grows on demand (at most kBuckets, 15 KiB). A sketch of small
+ * values — a link-occupancy depth, a sub-microsecond latency — costs a
+ * few hundred bytes to build instead of a zero-filled 15 KiB block.
+ * Missing tail buckets read as zero everywhere (merge, subtract,
+ * operator==, quantile), so the stored length never changes a result.
+ * record() allocates only when a value lands past every bucket seen so
+ * far, which stops once the distribution's maximum has been reached.
+ *
+ * Header-only with no dependencies beyond the standard library, so the
+ * net layer can embed sketches without linking the obs library.
  */
 
 #ifndef MEMNET_OBS_QUANTILE_SKETCH_HH
 #define MEMNET_OBS_QUANTILE_SKETCH_HH
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace memnet
 {
@@ -72,7 +80,10 @@ class QuantileSketch
     void
     record(std::uint64_t v)
     {
-        ++counts_[bucketOf(v)];
+        const std::size_t b = bucketOf(v);
+        if (b >= counts_.size())
+            counts_.resize(b + 1);
+        ++counts_[b];
         ++n_;
         sum_ += v;
         if (v > max_)
@@ -107,7 +118,7 @@ class QuantileSketch
         if (rank > n_)
             rank = n_;
         std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < kBuckets; ++i) {
+        for (std::size_t i = 0; i < counts_.size(); ++i) {
             cum += counts_[i];
             if (cum >= rank) {
                 const std::uint64_t ub = bucketUpperBound(i);
@@ -121,7 +132,9 @@ class QuantileSketch
     void
     merge(const QuantileSketch &o)
     {
-        for (std::size_t i = 0; i < kBuckets; ++i)
+        if (o.counts_.size() > counts_.size())
+            counts_.resize(o.counts_.size());
+        for (std::size_t i = 0; i < o.counts_.size(); ++i)
             counts_[i] += o.counts_[i];
         n_ += o.n_;
         sum_ += o.sum_;
@@ -138,7 +151,9 @@ class QuantileSketch
     void
     subtract(const QuantileSketch &prev)
     {
-        for (std::size_t i = 0; i < kBuckets; ++i)
+        if (prev.counts_.size() > counts_.size())
+            counts_.resize(prev.counts_.size());
+        for (std::size_t i = 0; i < prev.counts_.size(); ++i)
             counts_[i] -= prev.counts_[i];
         n_ -= prev.n_;
         sum_ -= prev.sum_;
@@ -146,15 +161,32 @@ class QuantileSketch
 
     void reset() { *this = QuantileSketch{}; }
 
+    /** Equal contents; the stored lengths may differ (missing = 0). */
     bool
     operator==(const QuantileSketch &o) const
     {
-        return n_ == o.n_ && sum_ == o.sum_ && max_ == o.max_ &&
-               counts_ == o.counts_;
+        if (n_ != o.n_ || sum_ != o.sum_ || max_ != o.max_)
+            return false;
+        const std::size_t n = std::max(counts_.size(), o.counts_.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            if (count(i) != o.count(i))
+                return false;
+        }
+        return true;
     }
 
+    /** Buckets currently stored (memory footprint; not a result). */
+    std::size_t storedBuckets() const { return counts_.size(); }
+
   private:
-    std::array<std::uint64_t, kBuckets> counts_{};
+    std::uint64_t
+    count(std::size_t i) const
+    {
+        return i < counts_.size() ? counts_[i] : 0;
+    }
+
+    /** Counts for buckets [0, size()); every later bucket is zero. */
+    std::vector<std::uint64_t> counts_;
     std::uint64_t n_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t max_ = 0;

@@ -52,27 +52,36 @@ throwCancelled(const EventQueue &eq)
 EventQueue::~EventQueue()
 {
     // Events deschedule themselves on destruction, so every pointer
-    // still in the heap here is a live event and safe to touch. Unhook
-    // them all first (their later destruction must not come back to the
-    // dead queue), then reclaim the pending one-shot callables scheduled
-    // via schedule(Tick, F), which are the queue's own.
-    for (const Entry &e : heap)
-        e.ev->_scheduled = false;
-    for (const Entry &e : heap) {
-        if (e.oneShot)
-            delete e.ev;
+    // still queued here is a live event and safe to touch. Unhook them
+    // all first (their later destruction must not come back to the dead
+    // queue), then reclaim the pending one-shot callables scheduled via
+    // schedule(Tick, F), which are the queue's own.
+    std::vector<Event *> pendingEvents = _far;
+    for (Event *head : _bucket) {
+        if (!head)
+            continue;
+        Event *ev = head;
+        do {
+            pendingEvents.push_back(ev);
+            ev = ev->_next;
+        } while (ev != head);
+    }
+    for (Event *ev : pendingEvents)
+        ev->_scheduled = false;
+    for (Event *ev : pendingEvents) {
+        if (ev->_oneShot)
+            delete ev;
     }
 }
 
 void
-EventQueue::dispatchFront()
+EventQueue::dispatch(Event *ev)
 {
-    Event *ev = heap.front().ev;
     memnet_assert(ev->_when >= _now, "time went backwards");
 
     // Depth histogram: sample pending() as the dispatch finds it.
     const std::size_t bucket = std::min<std::size_t>(
-        std::bit_width(heap.size()), kDepthBuckets - 1);
+        std::bit_width(_size), kDepthBuckets - 1);
     ++_depthHist[bucket];
 
     // Close every dispatch-rate window the queue jumped over. A
@@ -99,7 +108,7 @@ EventQueue::dispatchFront()
     // Capture the parent component before fire(), which may reschedule
     // the event and restamp its key.
     const Tick sched = ev->_schedTick;
-    removeAt(0);
+    remove(ev);
     _now = ev->_when;
     ev->_scheduled = false;
     ++_fired;
@@ -118,13 +127,14 @@ EventQueue::runUntil(Tick limit)
     // common case) pays one null test per dispatch, nothing more.
     const std::atomic<bool> *cancel = cancelFlag();
     std::uint64_t n = 0;
-    while (!heap.empty()) {
+    // The front is found once per dispatch and handed to dispatch().
+    while (Event *ev = front()) {
         if (cancel && (n & kCancelPollMask) == 0 &&
             cancel->load(std::memory_order_relaxed))
             throwCancelled(*this);
-        if (heap.front().ev->_when > limit)
+        if (ev->_when > limit)
             break;
-        dispatchFront();
+        dispatch(ev);
         ++n;
     }
     if (_now < limit && limit != kTickMax)
@@ -142,13 +152,13 @@ EventQueue::runUntilBefore(Tick limit)
     // runs observe a watchdog cancellation within one window.
     const std::atomic<bool> *cancel = cancelFlag();
     std::uint64_t n = 0;
-    while (!heap.empty()) {
+    while (Event *ev = front()) {
         if (cancel && (n & kCancelPollMask) == 0 &&
             cancel->load(std::memory_order_relaxed))
             throwCancelled(*this);
-        if (heap.front().ev->_when >= limit)
+        if (ev->_when >= limit)
             break;
-        dispatchFront();
+        dispatch(ev);
         ++n;
     }
     return n;
@@ -157,8 +167,9 @@ EventQueue::runUntilBefore(Tick limit)
 void
 EventQueue::fireFront()
 {
-    memnet_assert(!heap.empty(), "fireFront on an empty queue");
-    dispatchFront();
+    Event *ev = front();
+    memnet_assert(ev, "fireFront on an empty queue");
+    dispatch(ev);
 }
 
 } // namespace memnet

@@ -12,13 +12,40 @@
  * number so the partitioned kernel (sim/partition.hh) can reproduce the
  * serial firing order across several queues.
  *
- * The queue is an intrusive indexed d-ary heap (d = 4): each scheduled
- * Event carries its own heap slot, so deschedule() and reschedule() are
- * true O(log n) removals/rekeys instead of lazy squashes. There are no
- * stale heap entries — reschedule-heavy runs (link sleep timers, core
- * issue events) no longer grow the heap with dead weight, and the pop
- * path never filters. A 4-ary layout keeps the sift paths short and the
- * child scans within one cache line of pointers.
+ * The queue is an exact calendar queue (Brown, CACM 1988) with two
+ * containers:
+ *
+ *  - a wheel of kBuckets = 2048 time buckets, each kBucketWidth = 2^10
+ *    ps (1.024 ns) wide, covering the kHorizon = 2.097 us after now().
+ *    Each bucket is an intrusive circular list kept in firing order, and
+ *    a 2048-bit occupancy bitmap finds the first non-empty bucket from
+ *    now();
+ *  - a far set for events past the horizon (management epochs, long
+ *    timers): a 4-ary min-heap, indexed through each event so removal
+ *    and rekeying stay O(log n) however many timers land there.
+ *
+ * The front is the lesser of the wheel head and the far-set head.
+ * Nothing migrates between the containers as time advances: an event
+ * stays where it was inserted until it fires or is descheduled, and the
+ * wheel stays exact because every wheel event lies within one horizon
+ * of now().
+ *
+ * Why these sizes: most events are link tx-done/deliver, vault and core
+ * events due 1-8 ns ahead, and a busy run fires about four events per
+ * simulated ns. A 1 ns bucket holds a few of them, so an insert walks
+ * under one list node from the tail on average (4 ns buckets walked
+ * about three). The longest ROO sleep threshold is 2048 ns; a 2.097 us
+ * horizon keeps every sleep timer, the most rescheduled event in the
+ * model, in the wheel, and only epochs and rare long timers reach the
+ * far set (about 100 of 2.7 M inserts on the paper's big aware run).
+ * The 2048 head pointers are 16 KiB per queue, a quarter of a size that
+ * measurably slowed system construction.
+ *
+ * Both containers order by the compound EventKey and nothing else, so
+ * the firing order is the total EventKey order by construction, on
+ * serial and partition queues alike. schedule, deschedule, reschedule
+ * and pop are O(1) in the wheel apart from the short in-bucket walk,
+ * and O(log n) in the far set, which holds a few events.
  */
 
 #ifndef MEMNET_SIM_EVENT_QUEUE_HH
@@ -101,7 +128,7 @@ class Event
      * An event still sitting in a queue removes itself on destruction,
      * so tearing down a component mid-run (a Network rebuilt on a live
      * queue, a manager destroyed before its EventQueue) never leaves a
-     * dangling pointer in the heap.
+     * dangling pointer in the queue.
      */
     virtual ~Event();
 
@@ -116,8 +143,7 @@ class Event
 
   protected:
     /**
-     * See OneShotEvent. The flag is snapshotted into the heap entry at
-     * schedule time so queue teardown can tell its own pending
+     * See OneShotEvent. Queue teardown reads it to tell its own pending
      * one-shots apart from component-owned re-armable events.
      */
     bool _oneShot = false;
@@ -133,8 +159,11 @@ class Event
     Tick _parentTick = kTickInvalid;
     /** Per-queue tie-break counter (the legacy sequence number). */
     std::uint64_t _seq = 0;
-    /** Slot in the owning queue's heap while scheduled. */
-    std::size_t _slot = 0;
+    /** Slot in the owning queue's far-set heap (when _next is null). */
+    std::uint32_t _farSlot = 0;
+    /** Bucket-list neighbours in the wheel; _next is null in the far set. */
+    Event *_prev = nullptr;
+    Event *_next = nullptr;
     /** The queue holding this event while scheduled. */
     EventQueue *_queue = nullptr;
 };
@@ -182,6 +211,18 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
     ~EventQueue();
 
+    /** log2 of the wheel's bucket width in ticks. */
+    static constexpr unsigned kBucketShift = 10;
+    /** Wheel bucket width: 1.024 ns. */
+    static constexpr Tick kBucketWidth = Tick{1} << kBucketShift;
+    /** Buckets in the wheel. */
+    static constexpr std::size_t kBuckets = 2048;
+    /**
+     * Wheel span, 2.097 us. An event goes to the far set when its bucket
+     * lies kBuckets or more buckets past now()'s.
+     */
+    static constexpr Tick kHorizon = kBucketWidth * Tick{kBuckets};
+
     /** Current simulated time. */
     Tick now() const { return _now; }
 
@@ -197,17 +238,9 @@ class EventQueue
         memnet_assert(when >= _now,
                       "event scheduled in the past: ", when, " < ", _now);
         ev->_scheduled = true;
-        ev->_when = when;
-        ev->_schedTick = _now;
-        ev->_parentTick = _curParentSched;
-        ev->_seq = nextSeq++;
         ev->_queue = this;
-        ev->_slot = heap.size();
-        heap.push_back({ev, ev->_oneShot});
-        siftUp(ev->_slot);
-        ++_scheduledTotal;
-        if (heap.size() > _peakDepth)
-            _peakDepth = heap.size();
+        restamp(ev, when);
+        add(ev);
     }
 
     /**
@@ -228,12 +261,7 @@ class EventQueue
         ev->_parentTick = key.parent;
         ev->_seq = key.ctr;
         ev->_queue = this;
-        ev->_slot = heap.size();
-        heap.push_back({ev, ev->_oneShot});
-        siftUp(ev->_slot);
-        ++_scheduledTotal;
-        if (heap.size() > _peakDepth)
-            _peakDepth = heap.size();
+        add(ev);
     }
 
     /** Schedule a one-shot callable at an absolute tick. */
@@ -246,24 +274,24 @@ class EventQueue
     }
 
     /**
-     * Remove a scheduled event from the queue in O(log n). The heap slot
-     * is vacated immediately; the event can be destroyed or rescheduled
-     * freely afterwards.
+     * Remove a scheduled event from the queue. It is unlinked
+     * immediately; the event can be destroyed or rescheduled freely
+     * afterwards.
      */
     void
     deschedule(Event *ev)
     {
         memnet_assert(ev->_scheduled, "descheduling unscheduled event");
-        removeAt(ev->_slot);
+        remove(ev);
         ev->_scheduled = false;
         ++_descheduledTotal;
     }
 
     /**
-     * (Re)schedule, descheduling first if needed. A scheduled event is
-     * rekeyed in place — one sift instead of a remove plus an insert.
-     * Keeps the legacy FIFO contract: the move consumes a fresh sequence
-     * number, exactly as deschedule()+schedule() always did.
+     * (Re)schedule, descheduling first if needed. Keeps the legacy FIFO
+     * contract: the move consumes a fresh sequence number, exactly as
+     * deschedule()+schedule() always did, but counts as one schedule and
+     * no deschedule.
      */
     void
     reschedule(Event *ev, Tick when)
@@ -274,18 +302,20 @@ class EventQueue
         }
         memnet_assert(when >= _now,
                       "event scheduled in the past: ", when, " < ", _now);
-        const Tick old = ev->_when;
-        ev->_when = when;
-        ev->_schedTick = _now;
-        ev->_parentTick = _curParentSched;
-        ev->_seq = nextSeq++;
-        ++_scheduledTotal;
-        // The sequence number grew, so an equal-tick rekey still moves
-        // the event after its same-tick peers — sift down covers it.
-        if (when < old)
-            siftUp(ev->_slot);
-        else
-            siftDown(ev->_slot);
+        if (!ev->_next && isFar(when)) {
+            // Far set to far set: rekey in place, one sift instead of a
+            // removal plus an insertion.
+            restamp(ev, when);
+            ++_scheduledTotal;
+            const std::size_t i = ev->_farSlot;
+            farSiftUp(i);
+            if (ev->_farSlot == i)
+                farSiftDown(i);
+            return;
+        }
+        remove(ev);
+        restamp(ev, when);
+        add(ev);
     }
 
     /**
@@ -321,9 +351,9 @@ class EventQueue
     EventKey
     frontKey() const
     {
-        if (heap.empty())
+        const Event *ev = front();
+        if (!ev)
             return EventKey{kTickMax, 0, kTickInvalid, 0};
-        const Event *ev = heap.front().ev;
         return EventKey{ev->_when, ev->_schedTick, ev->_parentTick,
                         ev->_seq};
     }
@@ -332,7 +362,8 @@ class EventQueue
     Tick
     nextTick() const
     {
-        return heap.empty() ? kTickMax : heap.front().ev->_when;
+        const Event *ev = front();
+        return ev ? ev->_when : kTickMax;
     }
 
     /**
@@ -357,7 +388,7 @@ class EventQueue
     Tick currentParentSched() const { return _curParentSched; }
 
     /** Number of scheduled events. */
-    std::uint64_t pending() const { return heap.size(); }
+    std::uint64_t pending() const { return _size; }
 
     /** Total number of events ever fired. */
     std::uint64_t fired() const { return _fired; }
@@ -375,7 +406,7 @@ class EventQueue
     static constexpr std::size_t kDepthBuckets = 33;
 
     /**
-     * Histogram of heap depth sampled at every dispatch: bucket b counts
+     * Histogram of queue depth sampled at every dispatch: bucket b counts
      * dispatches that found bit_width(pending) == b, i.e. bucket 1 is a
      * single pending event, bucket 11 is 1024..2047, and the last bucket
      * absorbs anything deeper. All deterministic — no wall clock.
@@ -412,21 +443,23 @@ class EventQueue
     }
 
   private:
-    /** Children per heap node. */
-    static constexpr std::size_t kAry = 4;
+    static constexpr std::size_t kWords = kBuckets / 64;
+    /** Children per far-set heap node: short sift paths. */
+    static constexpr std::size_t kFarAry = 4;
+    static_assert(kBuckets % 64 == 0 && std::has_single_bit(kBuckets),
+                  "the wheel is a power-of-two number of bitmap words");
+
+    /** Absolute bucket number of tick @p t (not yet wrapped). */
+    static Tick slotOf(Tick t) { return t >> kBucketShift; }
+
+    static std::size_t
+    bucketOf(Tick t)
+    {
+        return static_cast<std::size_t>(slotOf(t)) & (kBuckets - 1);
+    }
 
     /**
-     * Heap entry. Carries the owning-ness flag alongside the pointer so
-     * ~EventQueue can reclaim pending one-shots without reading any
-     * Event whose component owner may already be gone.
-     */
-    struct Entry {
-        Event *ev;
-        bool oneShot;
-    };
-
-    /**
-     * Strict heap order: earlier tick first, FIFO within a tick (the
+     * Strict firing order: earlier tick first, FIFO within a tick (the
      * compound key reproduces the legacy sequence-number order exactly;
      * see EventKey).
      */
@@ -442,69 +475,183 @@ class EventQueue
         return a->_seq < b->_seq;
     }
 
-    void
-    place(const Entry &e, std::size_t slot)
+    /** @return true if an event due at @p when belongs in the far set. */
+    bool
+    isFar(Tick when) const
     {
-        heap[slot] = e;
-        e.ev->_slot = slot;
+        return slotOf(when) - slotOf(_now) >= Tick{kBuckets};
     }
 
+    /** Give @p ev the natural local key for firing at @p when. */
     void
-    siftUp(std::size_t slot)
+    restamp(Event *ev, Tick when)
     {
-        const Entry e = heap[slot];
-        while (slot > 0) {
-            const std::size_t parent = (slot - 1) / kAry;
-            if (!before(e.ev, heap[parent].ev))
-                break;
-            place(heap[parent], slot);
-            slot = parent;
+        ev->_when = when;
+        ev->_schedTick = _now;
+        ev->_parentTick = _curParentSched;
+        ev->_seq = nextSeq++;
+    }
+
+    /** Insert a keyed event into the wheel or the far set. */
+    void
+    add(Event *ev)
+    {
+        ++_scheduledTotal;
+        if (++_size > _peakDepth)
+            _peakDepth = _size;
+        if (isFar(ev->_when)) {
+            ev->_next = nullptr;
+            _far.push_back(ev);
+            farSiftUp(_far.size() - 1);
+            return;
         }
-        place(e, slot);
+        const std::size_t b = bucketOf(ev->_when);
+        Event *head = _bucket[b];
+        if (!head) {
+            ev->_prev = ev->_next = ev;
+            _bucket[b] = ev;
+            _occupied[b / 64] |= std::uint64_t{1} << (b % 64);
+            return;
+        }
+        // Walk back from the tail: a new event almost always sorts last.
+        Event *at = head->_prev;
+        while (before(ev, at)) {
+            if (at == head) {
+                _bucket[b] = ev; // new head; the tail link is the same
+                at = head->_prev;
+                break;
+            }
+            at = at->_prev;
+        }
+        ev->_prev = at;
+        ev->_next = at->_next;
+        at->_next->_prev = ev;
+        at->_next = ev;
+    }
+
+    /** Unlink a scheduled event from whichever container holds it. */
+    void
+    remove(Event *ev)
+    {
+        --_size;
+        if (!ev->_next) {
+            const std::size_t i = ev->_farSlot;
+            Event *last = _far.back();
+            _far.pop_back();
+            if (last == ev)
+                return;
+            farPlace(last, i);
+            if (i > 0 && before(last, _far[(i - 1) / kFarAry]))
+                farSiftUp(i);
+            else
+                farSiftDown(i);
+            return;
+        }
+        const std::size_t b = bucketOf(ev->_when);
+        if (ev->_next == ev) {
+            _bucket[b] = nullptr;
+            _occupied[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+            return;
+        }
+        ev->_prev->_next = ev->_next;
+        ev->_next->_prev = ev->_prev;
+        if (_bucket[b] == ev)
+            _bucket[b] = ev->_next;
+    }
+
+    /**
+     * Head of the first non-empty bucket at or after now()'s, scanning
+     * the occupancy bitmap circularly. Every wheel event lies within one
+     * horizon of now(), so the first hit is the earliest wheel slot.
+     */
+    Event *
+    wheelFront() const
+    {
+        if (_size == _far.size())
+            return nullptr;
+        const std::size_t start = bucketOf(_now);
+        std::size_t w = start / 64;
+        std::uint64_t bits =
+            _occupied[w] & (~std::uint64_t{0} << (start % 64));
+        // kWords + 1 probes: the start word is revisited for its low
+        // bits, which hold the slots one lap ahead.
+        for (std::size_t i = 0; i <= kWords; ++i) {
+            if (bits) {
+                const auto bit =
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                return _bucket[w * 64 + bit];
+            }
+            w = (w + 1) & (kWords - 1);
+            bits = _occupied[w];
+        }
+        return nullptr;
+    }
+
+    /** The earliest pending event, or null when the queue is empty. */
+    Event *
+    front() const
+    {
+        Event *w = wheelFront();
+        if (_far.empty())
+            return w;
+        Event *f = _far.front();
+        return !w || before(f, w) ? f : w;
     }
 
     void
-    siftDown(std::size_t slot)
+    farPlace(Event *ev, std::size_t i)
     {
-        const Entry e = heap[slot];
-        const std::size_t n = heap.size();
+        _far[i] = ev;
+        ev->_farSlot = static_cast<std::uint32_t>(i);
+    }
+
+    void
+    farSiftUp(std::size_t i)
+    {
+        Event *ev = _far[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / kFarAry;
+            if (!before(ev, _far[parent]))
+                break;
+            farPlace(_far[parent], i);
+            i = parent;
+        }
+        farPlace(ev, i);
+    }
+
+    void
+    farSiftDown(std::size_t i)
+    {
+        Event *ev = _far[i];
+        const std::size_t n = _far.size();
         for (;;) {
-            const std::size_t first = slot * kAry + 1;
+            const std::size_t first = i * kFarAry + 1;
             if (first >= n)
                 break;
-            std::size_t best = first;
-            const std::size_t last = std::min(first + kAry, n);
+            std::size_t child = first;
+            const std::size_t last = std::min(first + kFarAry, n);
             for (std::size_t c = first + 1; c < last; ++c) {
-                if (before(heap[c].ev, heap[best].ev))
-                    best = c;
+                if (before(_far[c], _far[child]))
+                    child = c;
             }
-            if (!before(heap[best].ev, e.ev))
+            if (!before(_far[child], ev))
                 break;
-            place(heap[best], slot);
-            slot = best;
+            farPlace(_far[child], i);
+            i = child;
         }
-        place(e, slot);
+        farPlace(ev, i);
     }
 
-    /** Vacate @p slot, restoring heap order around the moved filler. */
-    void
-    removeAt(std::size_t slot)
-    {
-        const Entry filler = heap.back();
-        heap.pop_back();
-        if (slot == heap.size())
-            return; // removed the tail entry
-        place(filler, slot);
-        if (slot > 0 && before(filler.ev, heap[(slot - 1) / kAry].ev))
-            siftUp(slot);
-        else
-            siftDown(slot);
-    }
+    /** Pop @p ev (the front), advance time, and fire it. */
+    void dispatch(Event *ev);
 
-    /** Pop the front, advance time, and fire it (shared bookkeeping). */
-    void dispatchFront();
-
-    std::vector<Entry> heap;
+    /** Heads of the wheel's bucket lists, indexed by bucketOf(when). */
+    std::array<Event *, kBuckets> _bucket{};
+    /** Bit b set iff _bucket[b] is non-empty. */
+    std::array<std::uint64_t, kWords> _occupied{};
+    /** Events past the horizon at insert time: a 4-ary min-heap. */
+    std::vector<Event *> _far;
+    std::size_t _size = 0;
     Tick _now = 0;
     /** _schedTick of the event being fired (kTickInvalid outside). */
     Tick _curParentSched = kTickInvalid;

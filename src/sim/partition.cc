@@ -231,7 +231,7 @@ PartitionRunner::coordinate(Tick limit, Tick grid)
     }
 
     // Earliest-effect bounds, relaxed to a fixed point: eff_[q] lower-
-    // bounds the tick of *any* future firing on q — its own heap head,
+    // bounds the tick of *any* future firing on q — its own queue head,
     // or an event induced by a message chain relayed through other
     // partitions (src fires no earlier than eff_[src], so anything it
     // sends dst lands no earlier than eff_[src] + L). A raw nextTick()

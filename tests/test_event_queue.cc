@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -252,18 +254,70 @@ struct RecordingEvent : public Event
 /** One scheduled entry mirrored outside the queue. */
 struct RefEntry
 {
-    Tick when;
-    std::uint64_t seq;
+    EventKey key;
     int id;
 };
 
+/** The documented firing order: the compound key, nothing else. */
+bool
+refBefore(const RefEntry &a, const RefEntry &b)
+{
+    return a.key < b.key;
+}
+
+/** Offsets drawn by checkRandomOps, in ticks from now(). */
+using DeltaFn = Tick (*)(std::mt19937 &);
+
+Tick
+nearDelta(std::mt19937 &rng)
+{
+    return ns(std::uniform_int_distribution<int>(0, 400)(rng));
+}
+
 /**
- * Drives the indexed heap through a long random mix of schedule /
- * deschedule / reschedule / runUntil and checks the exact firing order
- * against a brute-force model that replays the documented contract:
- * earlier tick first, FIFO (by consumed sequence number) within a tick.
+ * Near, horizon-straddling and far deltas in equal measure: 0-400 ns,
+ * within four buckets of the horizon either side, and up to 60
+ * horizons ahead (past the 100 us epoch grid).
  */
-TEST(EventQueueStress, RandomOpsMatchReferenceModel)
+Tick
+wideDelta(std::mt19937 &rng)
+{
+    switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
+      case 0:
+        return nearDelta(rng);
+      case 1:
+        return EventQueue::kHorizon +
+               std::uniform_int_distribution<Tick>(
+                   -4 * EventQueue::kBucketWidth,
+                   4 * EventQueue::kBucketWidth)(rng);
+      default:
+        return std::uniform_int_distribution<Tick>(
+            0, 60 * EventQueue::kHorizon)(rng);
+    }
+}
+
+/**
+ * Mostly short steps with the odd long idle gap of whole 100 us epochs,
+ * each gap many laps of the wheel.
+ */
+Tick
+gappyStep(std::mt19937 &rng)
+{
+    if (std::uniform_int_distribution<int>(0, 9)(rng) == 0)
+        return us(100) * std::uniform_int_distribution<int>(1, 3)(rng);
+    return wideDelta(rng);
+}
+
+/**
+ * Drives the queue through a long random mix of schedule / deschedule /
+ * reschedule / runUntil and checks the exact firing order against a
+ * brute-force model that replays the documented contract: compound-key
+ * order, which on one queue is earlier tick first, FIFO (by consumed
+ * sequence number) within a tick. @p delta draws firing offsets and
+ * @p step the runUntil limits.
+ */
+void
+checkRandomOps(std::uint32_t seed, DeltaFn delta, DeltaFn step)
 {
     constexpr int kEvents = 48;
     constexpr int kOps = 5000;
@@ -280,15 +334,15 @@ TEST(EventQueueStress, RandomOpsMatchReferenceModel)
     std::uint64_t seq = 0; // mirrors the queue's sequence counter
     std::vector<int> expected;
 
-    std::mt19937 rng(20170205); // fixed: the run must be reproducible
-    const auto delta = [&rng] {
-        return ns(std::uniform_int_distribution<int>(0, 400)(rng));
-    };
+    std::mt19937 rng(seed); // fixed: the run must be reproducible
     const auto modelFind = [&model](int id) {
         return std::find_if(model.begin(), model.end(),
                             [id](const RefEntry &e) {
                                 return e.id == id;
                             });
+    };
+    const auto keyAt = [&](Tick when) {
+        return EventKey{when, eq.now(), kTickInvalid, seq++};
     };
 
     for (int op = 0; op < kOps; ++op) {
@@ -298,33 +352,27 @@ TEST(EventQueueStress, RandomOpsMatchReferenceModel)
         const int action =
             std::uniform_int_distribution<int>(0, 9)(rng);
         if (!ev.scheduled()) {
-            const Tick when = eq.now() + delta();
+            const Tick when = eq.now() + delta(rng);
             eq.schedule(&ev, when);
-            model.push_back({when, seq++, ev.id});
+            model.push_back({keyAt(when), ev.id});
         } else if (action < 2) {
             eq.deschedule(&ev);
             model.erase(modelFind(ev.id));
         } else if (action < 8) {
-            const Tick when = eq.now() + delta();
+            const Tick when = eq.now() + delta(rng);
             eq.reschedule(&ev, when);
-            RefEntry &e = *modelFind(ev.id);
-            e.when = when;
-            e.seq = seq++;
+            modelFind(ev.id)->key = keyAt(when);
         }
 
         if (op % 40 == 39) {
-            const Tick limit = eq.now() + delta();
-            // Everything due by the limit fires in (when, seq) order.
+            const Tick limit = eq.now() + step(rng);
+            // Everything due by the limit fires in key order.
             std::vector<RefEntry> due;
             for (const RefEntry &e : model) {
-                if (e.when <= limit)
+                if (e.key.when <= limit)
                     due.push_back(e);
             }
-            std::sort(due.begin(), due.end(),
-                      [](const RefEntry &a, const RefEntry &b) {
-                          return a.when != b.when ? a.when < b.when
-                                                  : a.seq < b.seq;
-                      });
+            std::sort(due.begin(), due.end(), refBefore);
             for (const RefEntry &e : due) {
                 expected.push_back(e.id);
                 model.erase(modelFind(e.id));
@@ -332,20 +380,283 @@ TEST(EventQueueStress, RandomOpsMatchReferenceModel)
             eq.runUntil(limit);
             ASSERT_EQ(log, expected) << "diverged at op " << op;
             ASSERT_EQ(eq.pending(), model.size());
+            ASSERT_EQ(eq.now(), limit);
         }
     }
 
     // Drain: everything left fires in model order.
-    std::sort(model.begin(), model.end(),
-              [](const RefEntry &a, const RefEntry &b) {
-                  return a.when != b.when ? a.when < b.when
-                                          : a.seq < b.seq;
-              });
+    std::sort(model.begin(), model.end(), refBefore);
     for (const RefEntry &e : model)
         expected.push_back(e.id);
     eq.run();
     EXPECT_EQ(log, expected);
     EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueueStress, RandomOpsMatchReferenceModel)
+{
+    checkRandomOps(20170205, nearDelta, nearDelta);
+}
+
+TEST(EventQueueStress, DeltasPastTheHorizonMatchReferenceModel)
+{
+    // A third of the events land in the far set, a third straddle the
+    // horizon, and reschedules move events between the two containers.
+    checkRandomOps(7, wideDelta, nearDelta);
+    checkRandomOps(8, wideDelta, wideDelta);
+}
+
+TEST(EventQueueStress, IdleGapsThatWrapTheWheelMatchReferenceModel)
+{
+    // runUntil limits that jump whole 100 us epochs move now() hundreds
+    // of wheel laps at once, past far-set and wheel events alike.
+    checkRandomOps(100, wideDelta, gappyStep);
+    checkRandomOps(101, nearDelta, gappyStep);
+}
+
+TEST(EventQueueStress, EpochGridWithNearBurstsFiresInOrder)
+{
+    // The shape of a managed run: a self-rearming 100 us epoch timer
+    // (always in the far set when armed) and near-future bursts, with
+    // the queue idle in between. Checked against compound-key order.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    std::function<void()> burst = [&] { fired.push_back(eq.now()); };
+    std::function<void()> epoch = [&] {
+        fired.push_back(eq.now());
+        if (eq.now() < us(1000))
+            eq.schedule(eq.now() + us(100), epoch);
+        for (Tick d : {Tick{0}, ns(3), ns(3), ns(700),
+                       EventQueue::kHorizon - 1, EventQueue::kHorizon})
+            eq.schedule(eq.now() + d, burst);
+    };
+    eq.schedule(us(100), epoch);
+    eq.run();
+    ASSERT_EQ(fired.size(), 10u * 7u);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(eq.fired(), 70u);
+    EXPECT_EQ(eq.now(), us(1000) + EventQueue::kHorizon);
+}
+
+TEST(EventQueueStress, RescheduleMovesEventsBetweenWheelAndFarSet)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    std::vector<RecordingEvent> ev(4);
+    for (int i = 0; i < 4; ++i) {
+        ev[i].log = &log;
+        ev[i].id = i;
+    }
+    eq.schedule(&ev[0], ns(5));                       // wheel
+    eq.schedule(&ev[1], us(50));                      // far
+    eq.schedule(&ev[2], ns(6));                       // wheel
+    eq.schedule(&ev[3], us(60));                      // far
+    eq.reschedule(&ev[0], us(55));                    // wheel -> far
+    eq.reschedule(&ev[1], ns(4));                     // far -> wheel
+    EXPECT_EQ(eq.nextTick(), ns(4));
+    eq.reschedule(&ev[3], us(55));                    // far -> far, tie
+    eq.deschedule(&ev[2]);                            // out of the wheel
+    EXPECT_EQ(eq.pending(), 3u);
+    eq.runUntil(ns(10));
+    EXPECT_EQ(log, (std::vector<int>{1}));
+    eq.reschedule(&ev[0], ns(12));                    // far -> wheel
+    eq.schedule(&ev[2], us(55));                      // far, after 3
+    eq.deschedule(&ev[3]);                            // out of far set
+    eq.schedule(&ev[3], us(55));                      // far, after 2
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 0, 2, 3}));
+    EXPECT_EQ(eq.descheduledTotal(), 2u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueueStress, EventsAtTheHorizonBoundaryFireInKeyOrder)
+{
+    // now() sits inside bucket 0; kHorizon - 1 is the last tick of the
+    // last wheel bucket and kHorizon the first tick of the far set.
+    EventQueue eq;
+    eq.runUntil(ns(1));
+    std::vector<int> log;
+    std::vector<RecordingEvent> ev(6);
+    for (int i = 0; i < 6; ++i) {
+        ev[i].log = &log;
+        ev[i].id = i;
+    }
+    const Tick h = EventQueue::kHorizon;
+    eq.schedule(&ev[0], h);          // far: first far bucket
+    eq.schedule(&ev[1], h - 1);      // wheel: last bucket
+    eq.schedule(&ev[2], h + ns(1));  // far
+    eq.schedule(&ev[3], h - 1);      // wheel, same tick as 1
+    EXPECT_EQ(eq.nextTick(), h - 1);
+    // Half a horizon later the far tick h would land in the wheel; a new
+    // event there must still fire after the far-set event 0 at h.
+    eq.runUntil(h / 2);
+    eq.schedule(&ev[4], h);
+    // And one horizon after now(), past the far event 2's tick.
+    eq.schedule(&ev[5], eq.now() + h);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 3, 0, 4, 2, 5}));
+}
+
+TEST(EventQueueStress, FarSetHeadLosesToEarlierWheelKeyAtTheSameTick)
+{
+    // The front compares full keys across the two containers, not just
+    // ticks: a wheel event with a smaller (sched, parent, ctr) fires
+    // before a far-set event due at the same tick.
+    EventQueue eq;
+    std::vector<int> log;
+    std::vector<RecordingEvent> ev(3);
+    for (int i = 0; i < 3; ++i) {
+        ev[i].log = &log;
+        ev[i].id = i;
+    }
+    const Tick t = 3 * EventQueue::kHorizon;
+    eq.scheduleWithKey(&ev[0], EventKey{t, 0, kTickInvalid, 9});  // far
+    eq.runUntil(t - ns(10));
+    eq.scheduleWithKey(&ev[1], EventKey{t, 0, kTickInvalid, 4});  // wheel
+    eq.scheduleWithKey(&ev[2], EventKey{t, 0, kTickInvalid, 12}); // wheel
+    const EventKey front = eq.frontKey();
+    EXPECT_EQ(front.when, t);
+    EXPECT_EQ(front.ctr, 4u);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(EventQueueStress, RemoteKeyTiesFollowCompoundKeyOrder)
+{
+    // Partition-style traffic: local schedules interleaved with
+    // scheduleWithKey messages whose (when, sched, parent) collide with
+    // each other and with local events, their ctrs tagged remote. The
+    // firing order must be exactly EventKey order across both
+    // containers.
+    constexpr int kEvents = 64;
+    EventQueue eq;
+    std::vector<int> log;
+    std::vector<RecordingEvent> events(kEvents);
+    for (int i = 0; i < kEvents; ++i) {
+        events[i].log = &log;
+        events[i].id = i;
+    }
+    std::vector<RefEntry> model;
+    std::vector<int> expected;
+    std::uint64_t seq = 0;
+    std::uint64_t remote = 0;
+    std::mt19937 rng(2017);
+    const auto pick = [&rng](int n) {
+        return std::uniform_int_distribution<int>(0, n - 1)(rng);
+    };
+
+    for (int round = 0; round < 400; ++round) {
+        for (RecordingEvent &ev : events) {
+            if (ev.scheduled() || pick(2) == 0)
+                continue;
+            // Few distinct ticks, scheds and parents: many exact ties.
+            const Tick base = eq.now() + (pick(4) == 0
+                                              ? 2 * EventQueue::kHorizon
+                                              : Tick{0});
+            const Tick when = base + ns(pick(3));
+            if (pick(2) == 0) {
+                eq.schedule(&ev, when);
+                model.push_back(
+                    {EventKey{when, eq.now(), kTickInvalid, seq++}, ev.id});
+            } else {
+                const EventKey key{
+                    when, eq.now() - ns(pick(2)),
+                    pick(2) == 0 ? kTickInvalid : eq.now() - ns(pick(3)),
+                    pick(3) == 0 ? (std::uint64_t{1} << 40) + remote++
+                                 : (EventKey::kRemoteCtrBit | remote++)};
+                eq.scheduleWithKey(&ev, key);
+                model.push_back({key, ev.id});
+            }
+        }
+        const Tick limit = eq.now() + ns(pick(4));
+        std::sort(model.begin(), model.end(), refBefore);
+        auto cut = std::find_if(model.begin(), model.end(),
+                                [limit](const RefEntry &e) {
+                                    return e.key.when > limit;
+                                });
+        for (auto it = model.begin(); it != cut; ++it)
+            expected.push_back(it->id);
+        model.erase(model.begin(), cut);
+        eq.runUntil(limit);
+        ASSERT_EQ(log, expected) << "diverged in round " << round;
+        if (!model.empty()) {
+            const EventKey fk = eq.frontKey();
+            ASSERT_FALSE(fk < model.front().key || model.front().key < fk);
+        }
+    }
+    std::sort(model.begin(), model.end(), refBefore);
+    for (const RefEntry &e : model)
+        expected.push_back(e.id);
+    eq.run();
+    EXPECT_EQ(log, expected);
+}
+
+TEST(EventQueueStress, AdvanceToAndRunUntilBeforeKeepTheWheelExact)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    std::vector<RecordingEvent> ev(5);
+    for (int i = 0; i < 5; ++i) {
+        ev[i].log = &log;
+        ev[i].id = i;
+    }
+    const Tick h = EventQueue::kHorizon;
+    eq.schedule(&ev[0], ns(8));
+    eq.schedule(&ev[1], ns(16));
+    eq.schedule(&ev[2], 5 * h); // far
+    // Strictly before the limit; now() stays at the last fired event.
+    EXPECT_EQ(eq.runUntilBefore(ns(16)), 1u);
+    EXPECT_EQ(eq.now(), ns(8));
+    EXPECT_EQ(eq.nextTick(), ns(16));
+    EXPECT_EQ(eq.runUntilBefore(ns(17)), 1u);
+    EXPECT_EQ(eq.now(), ns(16));
+    // Nothing before the far event: runUntilBefore fires nothing and
+    // leaves now() alone; advanceTo then jumps several wheel laps.
+    EXPECT_EQ(eq.runUntilBefore(5 * h), 0u);
+    EXPECT_EQ(eq.now(), ns(16));
+    eq.advanceTo(5 * h - ns(4));
+    EXPECT_EQ(eq.now(), 5 * h - ns(4));
+    EXPECT_EQ(eq.nextTick(), 5 * h);
+    // Wheel events around the far event's tick, scheduled after the
+    // jump, interleave with it by key.
+    eq.schedule(&ev[3], 5 * h - ns(1));
+    eq.schedule(&ev[4], 5 * h);
+    EXPECT_EQ(eq.nextTick(), 5 * h - ns(1));
+    eq.advanceTo(5 * h - ns(1));
+    EXPECT_EQ(eq.runUntilBefore(5 * h + 1), 3u);
+    EXPECT_EQ(log, (std::vector<int>{0, 1, 3, 2, 4}));
+    EXPECT_EQ(eq.now(), 5 * h);
+    // An empty queue advances any distance; the wheel is still usable.
+    eq.advanceTo(1000 * h + 7);
+    eq.schedule(&ev[0], eq.now());
+    eq.fireFront();
+    EXPECT_EQ(log.back(), 0);
+    EXPECT_EQ(eq.nextTick(), kTickMax);
+}
+
+TEST(EventQueueStress, DestructorReclaimsOneShotsFromBothContainers)
+{
+    // Every pending lambda owns a copy of the token; the queue must free
+    // each one, from the wheel and the far set alike (ASan also flags a
+    // leak or double free). Component-owned events are only unhooked.
+    auto token = std::make_shared<int>(0);
+    CountingEvent nearOwned, farOwned;
+    {
+        EventQueue eq;
+        eq.schedule(&nearOwned, ns(3));
+        eq.schedule(&farOwned, 10 * EventQueue::kHorizon);
+        for (int i = 0; i < 50; ++i) {
+            eq.schedule(ns(i), [token] {});                      // wheel
+            eq.schedule(EventQueue::kHorizon * (i + 1), [token] {}); // far
+            eq.schedule(ns(i), [token] {});                      // same bucket
+        }
+        EXPECT_EQ(token.use_count(), 151);
+        EXPECT_EQ(eq.pending(), 152u);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_FALSE(nearOwned.scheduled());
+    EXPECT_FALSE(farOwned.scheduled());
+    EXPECT_EQ(nearOwned.fired + farOwned.fired, 0);
 }
 
 TEST(EventQueueStress, DestructorReleasesPendingOneShots)

@@ -1,10 +1,11 @@
 /**
  * @file
- * Property tests for obs::QuantileSketch, the fixed-memory streaming
+ * Property tests for obs::QuantileSketch, the bounded-memory streaming
  * histogram behind the latency observatory: bucket-mapping exactness,
  * the advertised rank-error bound against exact order statistics,
- * merge associativity, snapshot subtraction, and the empty-sketch
- * guarantees (always 0, never NaN/UB).
+ * merge associativity, snapshot subtraction, on-demand storage (merges
+ * and equality across stored lengths), and the empty-sketch guarantees
+ * (always 0, never NaN/UB).
  */
 
 #include <gtest/gtest.h>
@@ -186,6 +187,92 @@ TEST(QuantileSketch, SubtractRecoversTheDeltaWindow)
     delta.subtract(snap);
     EXPECT_TRUE(delta == tail_only);
     EXPECT_EQ(delta.samples(), 500u);
+}
+
+TEST(QuantileSketch, StorageGrowsOnlyToTheHighestRecordedBucket)
+{
+    QuantileSketch s;
+    EXPECT_EQ(s.storedBuckets(), 0u);
+    s.record(5);
+    EXPECT_EQ(s.storedBuckets(), 6u);
+    s.record(3); // below the high bucket: no growth
+    EXPECT_EQ(s.storedBuckets(), 6u);
+    s.record(76000); // a typical read latency in ps
+    EXPECT_EQ(s.storedBuckets(), QuantileSketch::bucketOf(76000) + 1);
+    EXPECT_LT(s.storedBuckets(), QuantileSketch::kBuckets);
+    s.record(~std::uint64_t{0});
+    EXPECT_EQ(s.storedBuckets(), QuantileSketch::kBuckets);
+}
+
+TEST(QuantileSketch, MergeAcrossStoredLengthsIsExactEitherWay)
+{
+    // One sketch sees only small values (short storage), the other
+    // spans many octaves (long storage). Merging in either direction
+    // must equal the sketch that saw everything, bucket for bucket.
+    std::mt19937_64 rng(17);
+    QuantileSketch small, wide, all;
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t v = rng() % 50;
+        small.record(v);
+        all.record(v);
+    }
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t v = rng() >> (rng() % 40);
+        wide.record(v);
+        all.record(v);
+    }
+    ASSERT_LT(small.storedBuckets(), wide.storedBuckets());
+
+    QuantileSketch shortFirst = small;
+    shortFirst.merge(wide);
+    QuantileSketch longFirst = wide;
+    longFirst.merge(small);
+    EXPECT_TRUE(shortFirst == all);
+    EXPECT_TRUE(longFirst == all);
+    EXPECT_TRUE(shortFirst == longFirst);
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_EQ(shortFirst.quantile(q), all.quantile(q)) << q;
+
+    // Merging an empty sketch (no storage at all) changes nothing.
+    QuantileSketch same = all;
+    same.merge(QuantileSketch{});
+    EXPECT_TRUE(same == all);
+    QuantileSketch fromEmpty;
+    fromEmpty.merge(all);
+    EXPECT_TRUE(fromEmpty == all);
+}
+
+TEST(QuantileSketch, ZeroTailBucketsDoNotAffectEqualityOrQuantiles)
+{
+    // An all-zero sketch with long storage: its tail is zero counts.
+    QuantileSketch longZero;
+    longZero.record(1000000000);
+    const QuantileSketch snap = longZero;
+    longZero.subtract(snap);
+    ASSERT_EQ(longZero.samples(), 0u);
+
+    QuantileSketch shortSketch, padded;
+    for (std::uint64_t v : {3u, 40u, 1000u}) {
+        shortSketch.record(v);
+        padded.record(v);
+    }
+    padded.subtract(longZero); // grows storage, all added buckets zero
+    ASSERT_GT(padded.storedBuckets(), shortSketch.storedBuckets());
+    EXPECT_TRUE(padded == shortSketch);
+    EXPECT_TRUE(shortSketch == padded);
+    for (double q : {0.0, 0.5, 0.9, 1.0})
+        EXPECT_EQ(padded.quantile(q), shortSketch.quantile(q)) << q;
+
+    // Same samples, sum and max but different buckets: not equal, in
+    // either direction and whatever the stored lengths.
+    QuantileSketch a, b;
+    for (std::uint64_t v : {10u, 30u, 30u})
+        a.record(v);
+    for (std::uint64_t v : {20u, 20u, 30u})
+        b.record(v);
+    b.subtract(longZero);
+    EXPECT_FALSE(a == b);
+    EXPECT_FALSE(b == a);
 }
 
 TEST(QuantileSketch, RandomSampleCountsNeverProduceNonsense)
